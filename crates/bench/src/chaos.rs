@@ -1416,17 +1416,17 @@ fn sharded_liveness_report(
 /// real threads.
 pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     use prever_consensus::sharded::ShardProbe;
-    use prever_sim::{ParallelConfig, ParallelFaultPlan};
+    use prever_sim::ParallelConfig;
 
     let topo = Topology { n_shards: 3, replicas_per_shard: 4 };
     let n = topo.n_nodes();
     let mut rng = StdRng::seed_from_u64(seed ^ SEED_MIX);
 
     // One shard drops off the inter-shard fabric mid-run (intra-shard
-    // links stay up — the partition is between shards).
+    // links stay up — every member of a shard is on the same side).
     let isolated = (seed % 3) as usize;
     let groups: Vec<usize> =
-        (0..topo.n_shards).map(|s| if s == isolated { 1 } else { 0 }).collect();
+        (0..n).map(|id| if topo.shard_of(id) == isolated { 1 } else { 0 }).collect();
     let part_at = 60_000 + rng.gen_range(0..120_000u64);
     let part_heal = part_at + 150_000 + rng.gen_range(0..400_000u64);
     // Blank restart of a backup in a different shard than the isolated
@@ -1444,7 +1444,7 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     };
     let mut sim = sharded::parallel_cluster(topo, None, cfg);
     sim.set_fault_plan(
-        ParallelFaultPlan::new()
+        FaultPlan::new()
             .partition_at(part_at, groups)
             .heal_at(part_heal)
             .crash_at(crash_at, victim)
@@ -1468,13 +1468,9 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     };
     for i in 0..txs {
         let at = 1 + rng.gen_range(0..300_000u64);
-        sharded::submit_parallel(
-            &mut sim,
-            topo,
-            Command::new(i, format!("tx-{i}")),
-            involved_of(i),
-            at,
-        );
+        let command = Command::new(i, format!("tx-{i}"));
+        let (home, msg) = sharded::request_for(topo, command, involved_of(i));
+        sim.inject(home, home, msg, at);
     }
 
     sim.run_until(clear_at);
@@ -1482,13 +1478,9 @@ pub fn sharded_parallel_chaos(seed: u64, txs: u64) -> ChaosOutcome {
     // died in the partition; resubmission is idempotent).
     for i in 0..txs {
         let at = sim.now() + 10 + i;
-        sharded::submit_parallel(
-            &mut sim,
-            topo,
-            Command::new(i, format!("tx-{i}")),
-            involved_of(i),
-            at,
-        );
+        let command = Command::new(i, format!("tx-{i}"));
+        let (home, msg) = sharded::request_for(topo, command, involved_of(i));
+        sim.inject(home, home, msg, at);
     }
 
     // Resolution liveness via probes (actors stay on their threads):

@@ -5,22 +5,15 @@
 //! Expected shape (SharPer's headline result): intra-shard workloads
 //! scale near-linearly with shards; cross-shard coordination (the
 //! lock/order/commit exchange, DESIGN.md §12) erodes the gain as the
-//! cross ratio grows. Two runtimes are measured over identical
-//! workloads:
-//!
-//! * **single** — the PR 5 cooperative loop (`prever_sim::Simulation`):
-//!   every shard shares one event loop and one core;
-//! * **parallel** — `prever_sim::ParallelSim`: each shard's replica
-//!   group on its own OS thread, cross-shard traffic through the
-//!   deterministic epoch-barrier merge.
-//!
-//! Virtual-time throughput is identical between the two (the parallel
-//! runtime is semantics-preserving); what the threads buy is
-//! *wall-clock*, reported separately. [`write_bench_json`] emits the
-//! full scaling surface as `BENCH_shard.json`, and [`scaling_smoke`]
-//! is the CI gate: 8 shards must beat 1 shard by ≥ 3× aggregate
-//! virtual throughput (ideal is 8×; the acceptance bar is ≥ 0.7×
-//! ideal = 5.6×, checked in the full surface).
+//! cross ratio grows. Every point runs on `prever_sim::ParallelSim`:
+//! each shard's replica group is a `prever_sim::Simulation` on its own
+//! OS thread, and cross-shard traffic goes through the deterministic
+//! epoch-barrier merge. Throughput is in virtual time; wall-clock
+//! seconds are reported alongside. [`write_bench_json`] emits the full
+//! scaling surface as `BENCH_shard.json`, and [`scaling_smoke`] is the
+//! CI gate: 8 shards must beat 1 shard by ≥ 3× aggregate virtual
+//! throughput (ideal is 8×; the acceptance bar is ≥ 0.7× ideal = 5.6×,
+//! checked in the full surface).
 
 use crate::Table;
 use prever_consensus::sharded::{self, ShardProbe, Topology};
@@ -58,10 +51,8 @@ pub struct ShardPoint {
     pub vthroughput: f64,
     /// Wall-clock seconds the run took.
     pub wall_s: f64,
-    /// OS threads the runtime used (1 = single-threaded loop).
+    /// OS threads the runtime used (one per shard).
     pub threads: usize,
-    /// Which runtime produced the point: "single" or "parallel".
-    pub runtime: &'static str,
 }
 
 /// The seeded workload: `txs` transactions round-robined across home
@@ -106,13 +97,8 @@ pub fn run_parallel(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
     let wall = std::time::Instant::now();
     let mut sim = sharded::parallel_cluster(topology, Some(batch()), cfg);
     for (i, involved) in &load {
-        sharded::submit_parallel(
-            &mut sim,
-            topology,
-            Command::new(*i, "tx"),
-            involved.clone(),
-            1 + i,
-        );
+        let (home, msg) = sharded::request_for(topology, Command::new(*i, "tx"), involved.clone());
+        sim.inject(home, home, msg, 1 + i);
     }
     let done = sim.run_until_probe(120_000_000, |probes: &[ShardProbe]| {
         (0..shards).all(|s| probes[topology.members(s)[0]].completed >= expect[s])
@@ -132,41 +118,6 @@ pub fn run_parallel(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
         vthroughput: txs as f64 / (finish as f64 / 1e6),
         wall_s,
         threads,
-        runtime: "parallel",
-    }
-}
-
-/// Runs the same configuration on the PR 5 single-threaded cooperative
-/// loop (the "before" baseline).
-pub fn run_single(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
-    let topology = Topology { n_shards: shards, replicas_per_shard: 4 };
-    let net = NetConfig { processing: PROCESSING, ..NetConfig::default() };
-    let load = workload(shards, ratio, txs);
-    let expect = expectations(topology, &load);
-    let wall = std::time::Instant::now();
-    let mut sim = Simulation::new(sharded::cluster_batched(topology, batch()), net, 7);
-    for (i, involved) in &load {
-        sharded::submit(&mut sim, topology, Command::new(*i, "tx"), involved.clone(), 1 + i);
-    }
-    let done = sim.run_until_pred(120_000_000, |nodes| {
-        (0..shards).all(|s| nodes[topology.members(s)[0]].completed_count() >= expect[s])
-    });
-    assert!(done, "single-threaded sharded run (shards={shards}, cross={ratio}) did not finish");
-    let wall_s = wall.elapsed().as_secs_f64();
-    let finish = (0..shards)
-        .map(|s| {
-            sim.node(topology.members(s)[0]).completed().last().map(|c| c.at).unwrap_or(1)
-        })
-        .max()
-        .unwrap_or(1);
-    ShardPoint {
-        shards,
-        cross_pct: (ratio * 100.0).round() as u32,
-        txs,
-        vthroughput: txs as f64 / (finish as f64 / 1e6),
-        wall_s,
-        threads: 1,
-        runtime: "single",
     }
 }
 
@@ -174,10 +125,10 @@ pub fn run_single(shards: usize, ratio: f64, txs: u64) -> ShardPoint {
 /// every other workload sharing the process-global trace sink.
 const E7_TRACE_BASE: u64 = 0xe7_0000;
 
-/// Runs a traced 2-shard workload (every tx cross-shard) on the
-/// single-threaded runtime and attributes commit latency across the
-/// full pipeline *including* the cross-shard exchange: queue →
-/// batch-cut → … → exec, then cross-lock → cross-decide →
+/// Runs a traced 2-shard workload (every tx cross-shard) on one
+/// `Simulation` holding both shards and attributes commit latency
+/// across the full pipeline *including* the cross-shard exchange:
+/// queue → batch-cut → … → exec, then cross-lock → cross-decide →
 /// cross-outcome (DESIGN.md §12/§13). Virtual µs throughout.
 pub fn cross_shard_stage_breakdown(txs: u64) -> CriticalPath {
     trace::set_trace_enabled(true);
@@ -224,12 +175,11 @@ pub const SURFACE_RATIOS: [f64; 3] = [0.0, 0.05, 0.20];
 /// Runs E7.
 pub fn run(quick: bool) -> Table {
     let mut table = Table::new(
-        "E7 — SharPer-style sharding: aggregate throughput vs shards, cross ratio, runtime",
+        "E7 — SharPer-style sharding: aggregate throughput vs shards and cross ratio",
         &[
             "shards",
             "cross %",
             "txs",
-            "runtime",
             "threads",
             "throughput (tx/vsec)",
             "wall (s)",
@@ -238,39 +188,26 @@ pub fn run(quick: bool) -> Table {
     );
     let shard_counts: &[usize] = if quick { &[1, 2, 4] } else { &SURFACE_SHARDS };
     let per_shard: u64 = if quick { 8 } else { TXS_PER_SHARD };
-    // Per-runtime 1-shard baselines for the speedup column.
-    let mut base_single = f64::NAN;
-    let mut base_parallel = f64::NAN;
+    // The 1-shard baseline for the speedup column.
+    let mut base = f64::NAN;
     for &shards in shard_counts {
         for ratio in SURFACE_RATIOS {
             if shards == 1 && ratio > 0.0 {
                 continue; // no cross-shard possible
             }
-            let txs = per_shard * shards as u64;
-            let runs: Vec<ShardPoint> = if quick || shards <= 8 {
-                vec![run_single(shards, ratio, txs), run_parallel(shards, ratio, txs)]
-            } else {
-                // The single-threaded loop becomes the bottleneck it
-                // exists to demonstrate; past 8 shards only the
-                // parallel runtime is measured.
-                vec![run_parallel(shards, ratio, txs)]
-            };
-            for p in runs {
-                let base = if p.runtime == "single" { &mut base_single } else { &mut base_parallel };
-                if p.shards == 1 && p.cross_pct == 0 {
-                    *base = p.vthroughput;
-                }
-                table.row(vec![
-                    p.shards.to_string(),
-                    p.cross_pct.to_string(),
-                    p.txs.to_string(),
-                    p.runtime.to_string(),
-                    p.threads.to_string(),
-                    format!("{:.0}", p.vthroughput),
-                    format!("{:.2}", p.wall_s),
-                    format!("{:.1}x", p.vthroughput / *base),
-                ]);
+            let p = run_parallel(shards, ratio, per_shard * shards as u64);
+            if p.shards == 1 && p.cross_pct == 0 {
+                base = p.vthroughput;
             }
+            table.row(vec![
+                p.shards.to_string(),
+                p.cross_pct.to_string(),
+                p.txs.to_string(),
+                p.threads.to_string(),
+                format!("{:.0}", p.vthroughput),
+                format!("{:.2}", p.wall_s),
+                format!("{:.1}x", p.vthroughput / base),
+            ]);
         }
     }
     table
@@ -296,45 +233,30 @@ fn point_json(p: &ShardPoint) -> String {
 }
 
 /// Writes the full scaling surface as `BENCH_shard.json`: the parallel
-/// surface (1–64 shards × {0, 5, 20}% cross), the single-threaded
-/// before-baseline (1–8 shards), and the derived scaling/penalty
-/// figures the acceptance criteria quote.
+/// surface (1–64 shards × {0, 5, 20}% cross) and the derived
+/// scaling/penalty figures the acceptance criteria quote.
 pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
     let mut parallel = Vec::new();
-    let mut single = Vec::new();
     for &shards in &SURFACE_SHARDS {
         for ratio in SURFACE_RATIOS {
             if shards == 1 && ratio > 0.0 {
                 continue;
             }
-            let txs = TXS_PER_SHARD * shards as u64;
-            parallel.push(run_parallel(shards, ratio, txs));
-            if shards <= 8 {
-                single.push(run_single(shards, ratio, txs));
-            }
+            parallel.push(run_parallel(shards, ratio, TXS_PER_SHARD * shards as u64));
         }
     }
-    let find = |pts: &[ShardPoint], shards: usize, pct: u32| -> f64 {
-        pts.iter()
+    let find = |shards: usize, pct: u32| -> f64 {
+        parallel
+            .iter()
             .find(|p| p.shards == shards && p.cross_pct == pct)
             .map(|p| p.vthroughput)
             .unwrap_or(1.0)
     };
-    let t1 = find(&parallel, 1, 0);
-    let t8 = find(&parallel, 8, 0);
-    let t64 = find(&parallel, 64, 0);
+    let t1 = find(1, 0);
+    let t8 = find(8, 0);
+    let t64 = find(64, 0);
     let efficiency8 = t8 / (t1 * 8.0);
-    let penalty = |shards: usize, pct: u32| -> f64 {
-        1.0 - find(&parallel, shards, pct) / find(&parallel, shards, 0)
-    };
-    let wall_speedup = |shards: usize| -> f64 {
-        let s = single.iter().find(|p| p.shards == shards && p.cross_pct == 0);
-        let p = parallel.iter().find(|p| p.shards == shards && p.cross_pct == 0);
-        match (s, p) {
-            (Some(s), Some(p)) if p.wall_s > 0.0 => s.wall_s / p.wall_s,
-            _ => 1.0,
-        }
-    };
+    let penalty = |shards: usize, pct: u32| -> f64 { 1.0 - find(shards, pct) / find(shards, 0) };
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -388,18 +310,6 @@ pub fn write_bench_json(path: &std::path::Path) -> std::io::Result<()> {
         penalty(64, 5),
         penalty(64, 20)
     ));
-    out.push_str(&format!(
-        "  \"wall_clock_speedup_vs_single_threaded\": {{\"4_shards\": {:.2}, \
-         \"8_shards\": {:.2}}},\n",
-        wall_speedup(4),
-        wall_speedup(8)
-    ));
-    out.push_str("  \"single_threaded_baseline\": [\n");
-    for (i, p) in single.iter().enumerate() {
-        let sep = if i + 1 == single.len() { "" } else { "," };
-        out.push_str(&format!("    {}{sep}\n", point_json(p)));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"parallel\": [\n");
     for (i, p) in parallel.iter().enumerate() {
         let sep = if i + 1 == parallel.len() { "" } else { "," };

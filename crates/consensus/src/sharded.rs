@@ -158,8 +158,9 @@ impl Topology {
         (self.replicas_per_shard - 1) / 3
     }
 
-    /// The shard → node-shard assignment vector for
-    /// [`prever_sim::ParallelSim`].
+    /// The node → shard assignment vector for
+    /// [`prever_sim::ParallelSim`]: each shard owns a contiguous range
+    /// of node ids, in ascending shard order.
     pub fn shard_map(&self) -> Vec<usize> {
         (0..self.n_nodes()).map(|id| self.shard_of(id)).collect()
     }
@@ -949,8 +950,10 @@ pub fn probe(node: &ShardedNode) -> ShardProbe {
     ShardProbe { completed: node.completed_count(), aborted: node.aborted_count() }
 }
 
-/// Builds the request message + its home (submission target) replica.
-fn request_for(
+/// Builds the request for `command` involving `involved` shards and its
+/// home replica: the primary of the lowest involved shard. Submit it
+/// with `sim.inject(home, home, msg, at)` on either runtime.
+pub fn request_for(
     topology: Topology,
     command: Command,
     mut involved: Vec<ShardId>,
@@ -979,18 +982,6 @@ pub fn submit(
     sim.inject(home, home, msg, at);
 }
 
-/// [`submit`] for the shard-per-thread parallel runtime.
-pub fn submit_parallel(
-    sim: &mut prever_sim::ParallelSim<ShardedNode, ShardProbe>,
-    topology: Topology,
-    command: Command,
-    involved: Vec<ShardId>,
-    at: u64,
-) {
-    let (home, msg) = request_for(topology, command, involved);
-    sim.inject(home, home, msg, at);
-}
-
 /// Builds a parallel (shard-per-thread) simulation of an honest
 /// batched cluster with the standard [`probe`].
 pub fn parallel_cluster(
@@ -1008,7 +999,7 @@ pub fn parallel_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prever_sim::{NetConfig, ParallelConfig, ParallelFaultPlan, Simulation};
+    use prever_sim::{FaultPlan, NetConfig, ParallelConfig, Simulation};
 
     fn topo(shards: usize) -> Topology {
         Topology { n_shards: shards, replicas_per_shard: 4 }
@@ -1231,7 +1222,8 @@ mod tests {
                 1 => vec![1],
                 _ => vec![(i % 2) as usize, 2],
             };
-            submit_parallel(&mut sim, t, Command::new(i, "p"), involved, 1 + i * 10);
+            let (home, msg) = request_for(t, Command::new(i, "p"), involved);
+            sim.inject(home, home, msg, 1 + i * 10);
         }
         assert_eq!(sim.n_threads(), 3);
         let per_node_want = |id: NodeId| -> usize {
@@ -1265,7 +1257,8 @@ mod tests {
                 });
             for i in 0..12u64 {
                 let involved = if i % 4 == 3 { vec![0, 2] } else { vec![(i % 3) as usize] };
-                submit_parallel(&mut sim, t, Command::new(i, "d"), involved, 1 + i * 30);
+                let (home, msg) = request_for(t, Command::new(i, "d"), involved);
+                sim.inject(home, home, msg, 1 + i * 30);
             }
             sim.run_until(4_000_000);
             let stats = sim.stats();
@@ -1287,12 +1280,10 @@ mod tests {
         // keep working, and the healed shard converges to the abort.
         let t = topo(2);
         let mut sim = parallel_cluster(t, None, ParallelConfig { seed: 41, ..Default::default() });
-        sim.set_fault_plan(
-            ParallelFaultPlan::new()
-                .partition_at(2_000, vec![0, 1])
-                .heal_at(1_500_000),
-        );
-        submit_parallel(&mut sim, t, Command::new(5, "doomed"), vec![0, 1], 1);
+        let groups: Vec<usize> = (0..t.n_nodes()).map(|id| t.shard_of(id)).collect();
+        sim.set_fault_plan(FaultPlan::new().partition_at(2_000, groups).heal_at(1_500_000));
+        let (home, msg) = request_for(t, Command::new(5, "doomed"), vec![0, 1]);
+        sim.inject(home, home, msg, 1);
         let ok = sim.run_until_probe(5_000_000, |p| {
             t.members(0).into_iter().all(|id| p[id].aborted >= 1)
         });

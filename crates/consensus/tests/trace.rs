@@ -159,7 +159,8 @@ fn parallel_sim_traces_are_bit_identical() {
         for i in 0..cmds {
             let id = BASE + i;
             let involved = if i % 3 == 0 { vec![0, 1] } else { vec![(i % 2) as usize] };
-            sharded::submit_parallel(&mut sim, t, Command::new(id, "par"), involved, i + 1);
+            let (home, msg) = sharded::request_for(t, Command::new(id, "par"), involved);
+            sim.inject(home, home, msg, i + 1);
         }
         let done = sim.run_until_probe(30_000_000, |probes| {
             probes.iter().map(|p| p.completed).sum::<usize>() >= (cmds as usize * 4)

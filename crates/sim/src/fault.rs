@@ -64,17 +64,6 @@ pub struct LinkFault {
     pub corrupt: f64,
 }
 
-impl LinkFault {
-    /// True iff this link has no faults configured.
-    pub fn is_clean(&self) -> bool {
-        self.drop == 0.0
-            && self.delay_max == 0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-    }
-}
-
 /// A disk-level fault applied to one node's storage media.
 ///
 /// The simulator does not model disks itself; it dispatches these to a

@@ -17,12 +17,20 @@
 //! outputs. Determinism invariant: identical (actors, config, fault plan,
 //! seed, injected events) ⇒ identical executions.
 //!
+//! There is one event engine. [`Simulation`] runs a whole cluster on the
+//! calling thread; [`ParallelSim`] (see [`parallel`]) runs one
+//! `Simulation` per shard, each owning a contiguous slice of the node ids
+//! on its own thread, and routes the messages that cross shards between
+//! epoch barriers.
+//!
 //! ## Fault injection
 //!
 //! Beyond the uniform [`NetConfig`] faults, a seeded [`FaultPlan`] (see
 //! [`fault`]) adds per-link asymmetric drop/delay/duplication/reordering/
 //! corruption plus *scheduled* crash, recovery, restart-with-state-loss,
-//! and partition events replayed at fixed virtual times.
+//! and partition events replayed at fixed virtual times. The same
+//! `FaultPlan` drives both runtimes; [`ParallelSim::set_fault_plan`]
+//! documents the subset the parallel runtime accepts.
 //!
 //! ## Crash semantics: `crash`/`recover` vs `restart_with_loss`
 //!
@@ -51,7 +59,7 @@ pub mod fault;
 pub mod parallel;
 
 pub use fault::{DiskFault, FaultEvent, FaultPlan, LinkFault};
-pub use parallel::{ParallelConfig, ParallelFaultEvent, ParallelFaultPlan, ParallelSim};
+pub use parallel::{ParallelConfig, ParallelSim};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +78,11 @@ type DispatchOutputs<M> = (Vec<(NodeId, M)>, Vec<(u64, u64)>);
 type Corruptor<M> = Box<dyn FnMut(&mut M, u64)>;
 
 /// Builds a fresh actor for a node restarted with state loss.
-type NodeFactory<A> = Box<dyn FnMut(NodeId) -> A>;
+pub(crate) type NodeFactory<A> = Box<dyn FnMut(NodeId) -> A>;
+
+/// A send to a node outside the simulation's own id range, left for the
+/// parallel coordinator: `(sent_at, from, to, msg)`.
+pub(crate) type CrossSend<M> = (u64, NodeId, NodeId, M);
 
 /// Applies a [`DiskFault`] to a node's storage media (the harness owns
 /// the media; the simulator only schedules the fault).
@@ -272,14 +284,23 @@ impl<M> Tracer<M> {
 }
 
 /// The discrete-event simulator.
+///
+/// A simulation owns the contiguous node-id range `first..first +
+/// nodes.len()` out of `n_global` ids. A standalone simulation owns them
+/// all (`first = 0`); a [`ParallelSim`] shard owns its slice, and its
+/// sends to ids outside the slice go to the outbox instead of the queue.
+/// Per-node vectors are indexed by `id - first`.
 pub struct Simulation<A: Actor> {
     nodes: Vec<A>,
+    first: NodeId,
+    n_global: usize,
+    outbox: Vec<CrossSend<A::Msg>>,
     crashed: Vec<bool>,
     /// Incarnation counter per node; bumped on crash/restart so events
     /// addressed to a dead process are recognizable at dispatch.
     incarnation: Vec<u64>,
-    /// partition\[i\] = group id of node i; messages cross groups only if
-    /// no partition is active.
+    /// partition\[i\] = group id of (global) node i; messages cross
+    /// groups only if no partition is active.
     partition: Option<Vec<usize>>,
     queue: BinaryHeap<Reverse<Event<A::Msg>>>,
     cfg: NetConfig,
@@ -304,8 +325,25 @@ impl<A: Actor> Simulation<A> {
     /// Creates a simulation over `nodes` with network `cfg` and RNG `seed`.
     pub fn new(nodes: Vec<A>, cfg: NetConfig, seed: u64) -> Self {
         let n = nodes.len();
+        Self::shard(nodes, 0, n, cfg, seed)
+    }
+
+    /// A simulation owning node ids `first..first + nodes.len()` out of
+    /// `n_global`: the engine of one [`ParallelSim`] shard.
+    pub(crate) fn shard(
+        nodes: Vec<A>,
+        first: NodeId,
+        n_global: usize,
+        cfg: NetConfig,
+        seed: u64,
+    ) -> Self {
+        let n = nodes.len();
+        assert!(first + n <= n_global, "owned range exceeds the global node count");
         Simulation {
             nodes,
+            first,
+            n_global,
+            outbox: Vec::new(),
             crashed: vec![false; n],
             incarnation: vec![0; n],
             partition: None,
@@ -338,15 +376,10 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to a node (assertions, result extraction).
     pub fn node(&self, id: NodeId) -> &A {
-        &self.nodes[id]
+        &self.nodes[id - self.first]
     }
 
-    /// Mutable access to a node (test setup).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.nodes[id]
-    }
-
-    /// Number of nodes.
+    /// Number of nodes this simulation owns.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
@@ -401,21 +434,17 @@ impl<A: Actor> Simulation<A> {
             .collect()
     }
 
-    /// Number of trace entries currently buffered.
-    pub fn trace_len(&self) -> usize {
-        self.tracer.as_ref().map_or(0, |t| t.entries.len())
-    }
-
     /// Crashes a node: the process dies. Queued deliveries and pending
     /// timers addressed to it are dropped (counted in
     /// [`SimStats::messages_dropped`]) — they do not survive into a later
     /// recovery. Idempotent.
     pub fn crash(&mut self, node: NodeId) {
-        if self.crashed[node] {
+        let li = node - self.first;
+        if self.crashed[li] {
             return;
         }
-        self.crashed[node] = true;
-        self.incarnation[node] = self.incarnation[node].wrapping_add(1);
+        self.crashed[li] = true;
+        self.incarnation[li] = self.incarnation[li].wrapping_add(1);
         self.stats.crashes += 1;
     }
 
@@ -424,11 +453,12 @@ impl<A: Actor> Simulation<A> {
     /// can re-arm its timers; messages sent during the outage are
     /// delivered if they arrive after this point. No-op if not crashed.
     pub fn recover(&mut self, node: NodeId) {
-        if !self.crashed[node] {
+        let li = node - self.first;
+        if !self.crashed[li] {
             return;
         }
-        self.crashed[node] = false;
-        self.busy_until[node] = self.now;
+        self.crashed[li] = false;
+        self.busy_until[li] = self.now;
         self.stats.recoveries += 1;
         if self.started {
             self.start_node(node);
@@ -440,25 +470,21 @@ impl<A: Actor> Simulation<A> {
     /// [`Actor::on_start`] runs immediately. Works on crashed and live
     /// nodes alike (a live node is implicitly crashed first).
     pub fn restart_with_loss(&mut self, node: NodeId, actor: A) {
-        self.nodes[node] = actor;
-        self.crashed[node] = false;
-        self.incarnation[node] = self.incarnation[node].wrapping_add(1);
-        self.busy_until[node] = self.now;
+        let li = node - self.first;
+        self.nodes[li] = actor;
+        self.crashed[li] = false;
+        self.incarnation[li] = self.incarnation[li].wrapping_add(1);
+        self.busy_until[li] = self.now;
         self.stats.restarts_with_loss += 1;
         if self.started {
             self.start_node(node);
         }
     }
 
-    /// True iff the node is crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node]
-    }
-
     /// Installs a partition: `groups[i]` is node `i`'s side. Messages
     /// between different sides are dropped.
     pub fn set_partition(&mut self, groups: Vec<usize>) {
-        assert_eq!(groups.len(), self.nodes.len());
+        assert_eq!(groups.len(), self.n_global, "partition groups are per node");
         self.partition = Some(groups);
     }
 
@@ -483,6 +509,40 @@ impl<A: Actor> Simulation<A> {
             inc: EXTERNAL_INC,
             kind: EventKind::Deliver { from, msg },
         }));
+    }
+
+    /// Enqueues a cross-shard or injected arrival for an owned node at
+    /// absolute time `at`. Unlike [`Simulation::inject`], the arrival
+    /// queues behind the receiver's service backlog (unless it is
+    /// crashed), like a network delivery; like an injection it is not
+    /// pinned to an incarnation.
+    pub(crate) fn arrive(&mut self, from: NodeId, to: NodeId, msg: A::Msg, mut at: u64) {
+        let li = to - self.first;
+        if self.cfg.processing > 0 && !self.crashed[li] {
+            at = at.max(self.busy_until[li]);
+            self.busy_until[li] = at + self.cfg.processing;
+        }
+        let seq = self.next_seq();
+        self.queue.push(Reverse(Event {
+            at,
+            seq,
+            to,
+            inc: EXTERNAL_INC,
+            kind: EventKind::Deliver { from, msg },
+        }));
+    }
+
+    /// Appends a scheduled fault; `at` must not precede any fault already
+    /// pending.
+    pub(crate) fn schedule_fault(&mut self, at: u64, ev: FaultEvent) {
+        debug_assert!(self.pending_faults.back().is_none_or(|(t, _)| *t <= at));
+        self.pending_faults.push_back((at, ev));
+    }
+
+    /// Takes the sends addressed outside the owned id range, in send
+    /// order.
+    pub(crate) fn take_outbox(&mut self) -> Vec<CrossSend<A::Msg>> {
+        std::mem::take(&mut self.outbox)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -635,16 +695,23 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    fn ensure_started(&mut self) {
+    /// Runs every live node's [`Actor::on_start`] the first time it is
+    /// called. Faults scheduled at time 0 win the tie with start-up, as
+    /// with any event: `crash_at(0, n)` keeps `n` from starting and a
+    /// partition at 0 already covers the start-up sends.
+    pub(crate) fn ensure_started(&mut self) {
         if self.started {
             return;
         }
+        while self.pending_faults.front().is_some_and(|(t, _)| *t == 0) {
+            self.apply_next_fault();
+        }
         self.started = true;
-        for id in 0..self.nodes.len() {
-            if self.crashed[id] {
+        for li in 0..self.nodes.len() {
+            if self.crashed[li] {
                 continue;
             }
-            self.start_node(id);
+            self.start_node(self.first + li);
         }
     }
 
@@ -668,12 +735,13 @@ impl<A: Actor> Simulation<A> {
 
     fn dispatch(&mut self, ev: Event<A::Msg>) {
         let to = ev.to;
-        if self.crashed[to] {
+        let li = to - self.first;
+        if self.crashed[li] {
             self.stats.messages_dropped += 1;
             self.trace_note("drop.crashed", to, to, "");
             return;
         }
-        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[to] {
+        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[li] {
             // Addressed to a previous incarnation: it was in flight when
             // the node crashed and died with that process.
             self.stats.messages_dropped += 1;
@@ -703,15 +771,14 @@ impl<A: Actor> Simulation<A> {
     ) -> DispatchOutputs<A::Msg> {
         let mut sends = Vec::new();
         let mut timers = Vec::new();
-        let n_nodes = self.nodes.len();
         let mut ctx = Ctx {
             now: self.now,
             self_id: id,
-            n_nodes,
+            n_nodes: self.n_global,
             sends: &mut sends,
             timers: &mut timers,
         };
-        f(&mut self.nodes[id], &mut ctx);
+        f(&mut self.nodes[id - self.first], &mut ctx);
         (sends, timers)
     }
 
@@ -729,15 +796,16 @@ impl<A: Actor> Simulation<A> {
         let mut at = self.now + latency;
         if self.cfg.processing > 0 {
             // Serialize on the receiver: queue behind its backlog.
-            at = at.max(self.busy_until[to]);
-            self.busy_until[to] = at + self.cfg.processing;
+            let li = to - self.first;
+            at = at.max(self.busy_until[li]);
+            self.busy_until[li] = at + self.cfg.processing;
         }
         at
     }
 
     fn push_deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg, at: u64) {
         let seq = self.next_seq();
-        let inc = self.incarnation[to];
+        let inc = self.incarnation[to - self.first];
         self.queue.push(Reverse(Event { at, seq, to, inc, kind: EventKind::Deliver { from, msg } }));
     }
 
@@ -749,7 +817,7 @@ impl<A: Actor> Simulation<A> {
     ) {
         for (to, msg) in sends {
             self.stats.messages_sent += 1;
-            if to >= self.nodes.len() {
+            if to >= self.n_global {
                 // Actor bug guard: a send to a nonexistent node is
                 // counted as dropped rather than crashing the run.
                 self.stats.messages_dropped += 1;
@@ -768,6 +836,12 @@ impl<A: Actor> Simulation<A> {
                 // the network — no drops, faults, or service time.
                 let at = self.now + 1;
                 self.push_deliver(from, to, msg, at);
+                continue;
+            }
+            if to < self.first || to >= self.first + self.nodes.len() {
+                // Another shard's node: the parallel coordinator routes
+                // it after the epoch barrier, in send order.
+                self.outbox.push((self.now, from, to, msg));
                 continue;
             }
             // Random drop.
@@ -811,7 +885,7 @@ impl<A: Actor> Simulation<A> {
         for (delay, timer) in timers {
             let at = self.now + delay.max(1);
             let seq = self.next_seq();
-            let inc = self.incarnation[from];
+            let inc = self.incarnation[from - self.first];
             self.queue.push(Reverse(Event { at, seq, to: from, inc, kind: EventKind::Timer { timer } }));
         }
     }
@@ -820,22 +894,6 @@ impl<A: Actor> Simulation<A> {
     pub fn into_nodes(self) -> Vec<A> {
         self.nodes
     }
-}
-
-/// Utility: asserts a set of node ids forms a quorum of `n` (majority).
-pub fn is_majority(count: usize, n: usize) -> bool {
-    count * 2 > n
-}
-
-/// Utility: the PBFT quorum size `2f + 1` for `n = 3f + 1` nodes.
-pub fn bft_quorum(n: usize) -> usize {
-    let f = (n - 1) / 3;
-    2 * f + 1
-}
-
-/// Utility: maximum tolerated Byzantine faults for `n` nodes.
-pub fn bft_max_faults(n: usize) -> usize {
-    (n - 1) / 3
 }
 
 /// A helper collecting distinct voters (ids) for quorum counting.
@@ -1007,6 +1065,21 @@ mod tests {
         assert_eq!(sim.node(1).pings_received, 1);
         assert_eq!(sim.stats().crashes, 1);
         assert_eq!(sim.stats().recoveries, 1);
+        assert_eq!(sim.stats().messages_dropped, 5);
+    }
+
+    #[test]
+    fn faults_at_time_zero_precede_start() {
+        // A crash at 0 is a node that never starts; a partition at 0
+        // already covers the start-up sends.
+        let mut sim = Simulation::new(pp(5), NetConfig::default(), 1);
+        sim.set_fault_plan(FaultPlan::new().crash_at(0, 0));
+        sim.run_to_idle(10_000);
+        assert_eq!(sim.stats().messages_sent, 0);
+        let mut sim = Simulation::new(pp(5), NetConfig::default(), 1);
+        sim.set_fault_plan(FaultPlan::new().partition_at(0, vec![0, 1]));
+        sim.run_to_idle(10_000);
+        assert_eq!(sim.node(1).pings_received, 0);
         assert_eq!(sim.stats().messages_dropped, 5);
     }
 
@@ -1235,12 +1308,6 @@ mod tests {
 
     #[test]
     fn quorum_helpers() {
-        assert!(is_majority(3, 5));
-        assert!(!is_majority(2, 5));
-        assert_eq!(bft_quorum(4), 3);
-        assert_eq!(bft_quorum(7), 5);
-        assert_eq!(bft_max_faults(4), 1);
-        assert_eq!(bft_max_faults(10), 3);
         let mut v = VoteSet::new();
         assert!(v.add(1));
         assert!(!v.add(1));

@@ -1,12 +1,14 @@
 //! Shard-per-thread parallel simulation.
 //!
-//! The single-threaded [`Simulation`](crate::Simulation) caps every
-//! experiment at one core: a 64-shard SharPer-style deployment is 256
-//! PBFT replicas time-sliced through one event loop. This module runs
-//! each *shard* (a group of nodes that talk to each other constantly)
-//! as a self-contained engine on its own OS thread, and lets shards
-//! talk to each other only through explicit cross-shard channels merged
-//! deterministically by a coordinator.
+//! One [`Simulation`] caps an experiment at one core: a 64-shard
+//! SharPer-style deployment is 256 PBFT replicas time-sliced through one
+//! event loop. [`ParallelSim`] runs each *shard* (a group of nodes that
+//! talk to each other constantly) as an ordinary `Simulation` over the
+//! shard's contiguous slice of node ids, on its own OS thread. A send to
+//! another shard's node leaves the shard's `Simulation` through its
+//! outbox, and a coordinator merges the outboxes deterministically
+//! between epochs. There is no second event engine: this module is only
+//! the coordinator.
 //!
 //! ## Determinism under parallelism
 //!
@@ -14,8 +16,8 @@
 //! barrier:
 //!
 //! * Virtual time is divided into fixed epochs of `epoch` µs. Every
-//!   engine runs `[k·E, (k+1)·E)` to completion before any engine
-//!   starts epoch `k + 1`.
+//!   shard runs `[k·E, (k+1)·E)` to completion before any shard starts
+//!   epoch `k + 1`.
 //! * Cross-shard messages sent during epoch `k` are collected by the
 //!   coordinator *after* the barrier, routed in a fixed schedule
 //!   (ascending source shard, then send order within the shard — a
@@ -23,8 +25,8 @@
 //!   epoch `k + 1`. Cross-shard latency/jitter is drawn from a
 //!   per-edge RNG keyed by `(seed, src, dst)`, so a draw never depends
 //!   on which thread finished first.
-//! * Each engine owns a private RNG keyed by `(seed, shard)` for
-//!   intra-shard jitter.
+//! * Each shard's `Simulation` owns a private RNG keyed by
+//!   `(seed, shard)` for intra-shard jitter and drops.
 //!
 //! Consequently the interleaving observed by every actor is a pure
 //! function of `(actors, config, fault plan, injections, seed)` — the
@@ -35,28 +37,35 @@
 //!
 //! ## Fault model
 //!
-//! Faults are scheduled on a [`ParallelFaultPlan`]: shard-granular
-//! partitions (a partitioned shard keeps ordering locally but its
-//! cross-shard channels drop), per-node crash / recover /
-//! restart-with-loss. Cross-shard messages are not pinned to a
-//! receiver incarnation: like client retries, they are delivered to
-//! whatever process is alive on arrival (they model durable channel
-//! buffers between clusters).
+//! Faults are a [`FaultPlan`], as on the single-threaded runtime, and
+//! each shard's `Simulation` applies them interleaved with its events
+//! (faults win ties). Crash, recover and restart-with-loss go to the
+//! owning shard; the node factory runs on the coordinator and the fresh
+//! actor travels with the fault. Partition and heal go to every shard,
+//! so partition groups are per node exactly as on `Simulation`: a send
+//! between two sides, intra- or cross-shard, is dropped at its send
+//! time. Link faults, disk faults and `ClearLinkFaults` are not modelled
+//! here; [`ParallelSim::set_fault_plan`] rejects them. Cross-shard and
+//! injected messages are not pinned to a receiver incarnation: like
+//! client retries, they are delivered to whatever process is alive on
+//! arrival (they model durable channel buffers between clusters), and
+//! they queue behind the receiver's service backlog.
 
-use crate::{Actor, Ctx, NetConfig, NodeId, SimStats};
+use crate::{
+    Actor, CrossSend, FaultEvent, FaultPlan, LinkFault, NetConfig, NodeFactory, NodeId, SimStats,
+    Simulation,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Shard identifier (dense, 0-based) — the unit of parallelism.
 pub type ShardId = usize;
-
-/// Sentinel incarnation for cross-shard and injected deliveries.
-const EXTERNAL_INC: u64 = u64::MAX;
 
 /// SplitMix64-style mixer for deriving independent RNG streams.
 fn mix(a: u64, b: u64) -> u64 {
@@ -72,7 +81,7 @@ fn mix(a: u64, b: u64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Intra-shard network behavior (latency, jitter, drops, service
-    /// time), applied independently inside each shard engine.
+    /// time), applied independently inside each shard's simulation.
     pub net: NetConfig,
     /// Minimum one-way cross-shard latency in µs. Must be ≥ `epoch`
     /// (the conservative lookahead bound); the constructor asserts it.
@@ -100,460 +109,105 @@ impl Default for ParallelConfig {
     }
 }
 
-/// A scheduled fault event on the parallel runtime.
-#[derive(Clone, Debug)]
-pub enum ParallelFaultEvent {
-    /// Install a shard-granular partition: `groups[s]` is shard `s`'s
-    /// side; cross-shard messages between different sides are dropped
-    /// at the coordinator. Intra-shard traffic is unaffected.
-    Partition(Vec<usize>),
-    /// Remove any partition.
-    Heal,
-    /// Crash a node (process dies; queued local deliveries and timers
-    /// die with it).
-    Crash(NodeId),
-    /// Recover a crashed node with state intact (`on_start` re-runs).
-    Recover(NodeId),
-    /// Restart a node as a fresh actor built by the node factory,
-    /// losing all in-memory state.
-    RestartWithLoss(NodeId),
+/// A cross-shard or injected message not yet released to its shard:
+/// `(deliver_at, coordinator_seq, from, to, msg)`.
+type Pending<M> = (u64, u64, NodeId, NodeId, M);
+
+/// Coordinator → worker: one epoch's work for a shard.
+struct Epoch<A: Actor> {
+    until: u64,
+    /// Arrivals due this epoch, in delivery order: `(at, from, to, msg)`.
+    inbound: Vec<(u64, NodeId, NodeId, A::Msg)>,
+    /// Faults due this epoch, in time order.
+    faults: Vec<(u64, FaultEvent)>,
+    /// Fresh actors for this epoch's `RestartWithLoss` faults, in fault
+    /// order.
+    restarts: Vec<A>,
 }
 
-/// A time-ordered plan of [`ParallelFaultEvent`]s.
-#[derive(Clone, Debug, Default)]
-pub struct ParallelFaultPlan {
-    events: Vec<(u64, ParallelFaultEvent)>,
-}
-
-impl ParallelFaultPlan {
-    /// Empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules a shard-granular partition at `at`.
-    pub fn partition_at(mut self, at: u64, groups: Vec<usize>) -> Self {
-        self.events.push((at, ParallelFaultEvent::Partition(groups)));
-        self
-    }
-
-    /// Schedules a heal at `at`.
-    pub fn heal_at(mut self, at: u64) -> Self {
-        self.events.push((at, ParallelFaultEvent::Heal));
-        self
-    }
-
-    /// Schedules a crash of `node` at `at`.
-    pub fn crash_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::Crash(node)));
-        self
-    }
-
-    /// Schedules a state-intact recovery of `node` at `at`.
-    pub fn recover_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::Recover(node)));
-        self
-    }
-
-    /// Schedules a restart-with-state-loss of `node` at `at` (requires
-    /// [`ParallelSim::set_node_factory`]).
-    pub fn restart_with_loss_at(mut self, at: u64, node: NodeId) -> Self {
-        self.events.push((at, ParallelFaultEvent::RestartWithLoss(node)));
-        self
-    }
-
-    fn sorted_events(&self) -> Vec<(u64, ParallelFaultEvent)> {
-        let mut ev = self.events.clone();
-        ev.sort_by_key(|(t, _)| *t);
-        ev
-    }
-}
-
-/// A cross-shard message en route: scheduled by the coordinator,
-/// delivered by the destination engine.
-struct CrossArrival<M> {
-    at: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-/// A fault forwarded into an engine, applied at its virtual time.
-enum NodeFault<A> {
-    Crash(NodeId),
-    Recover(NodeId),
-    Restart(NodeId, A),
-}
-
-/// Coordinator → worker command.
-enum Cmd<A: Actor> {
-    Epoch {
-        until: u64,
-        inbound: Vec<CrossArrival<A::Msg>>,
-        faults: Vec<(u64, NodeFault<A>)>,
-    },
-    Finish,
-}
-
-/// Worker → coordinator reply.
-enum Reply<A: Actor, P> {
-    Epoch(EpochOut<A::Msg, P>),
-    Done(Vec<(NodeId, A)>),
-}
-
-/// One epoch's outputs from a shard engine.
+/// Worker → coordinator: one epoch's results from a shard.
 struct EpochOut<M, P> {
-    /// Cross-shard sends in deterministic local order: `(sent_at,
-    /// from, to, msg)`.
-    outbox: Vec<(u64, NodeId, NodeId, M)>,
+    /// Cross-shard sends in deterministic local send order.
+    outbox: Vec<CrossSend<M>>,
     /// Probe values per local node (global ids).
     probes: Vec<(NodeId, P)>,
-    /// Cumulative engine statistics.
+    /// Cumulative statistics of the shard's simulation.
     stats: SimStats,
-}
-
-enum LocalEventKind<M> {
-    Deliver { from: NodeId, msg: M },
-    Timer { timer: u64 },
-}
-
-struct LocalEvent<M> {
-    at: u64,
-    seq: u64,
-    to: NodeId,
-    inc: u64,
-    kind: LocalEventKind<M>,
-}
-
-impl<M> PartialEq for LocalEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for LocalEvent<M> {}
-impl<M> PartialOrd for LocalEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for LocalEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// One outbound cross-shard send: `(sent_at, from, to, msg)`.
-type CrossSend<M> = (u64, NodeId, NodeId, M);
-
-/// Sends and timers produced by one actor-handler invocation.
-type HandlerOut<M> = (Vec<(NodeId, M)>, Vec<(u64, u64)>);
-
-/// A pending cross arrival keyed for deterministic ordering:
-/// `(deliver_at, coordinator_seq, arrival)`.
-type PendingArrival<M> = (u64, u64, CrossArrival<M>);
-
-/// The per-shard event loop: a restricted [`Simulation`](crate::Simulation)
-/// over the shard's nodes whose foreign sends go to an outbox instead
-/// of the local queue.
-struct Engine<A: Actor, P> {
-    node_ids: Vec<NodeId>,
-    index: HashMap<NodeId, usize>,
-    n_global: usize,
-    nodes: Vec<A>,
-    crashed: Vec<bool>,
-    incarnation: Vec<u64>,
-    busy_until: Vec<u64>,
-    queue: BinaryHeap<Reverse<LocalEvent<A::Msg>>>,
-    rng: StdRng,
-    now: u64,
-    seq: u64,
-    stats: SimStats,
-    cfg: NetConfig,
-    outbox: Vec<CrossSend<A::Msg>>,
-    probe: Arc<dyn Fn(&A) -> P + Send + Sync>,
-    started: bool,
-}
-
-impl<A: Actor, P> Engine<A, P> {
-    fn local(&self, id: NodeId) -> Option<usize> {
-        self.index.get(&id).copied()
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for li in 0..self.nodes.len() {
-            if !self.crashed[li] {
-                self.start_node(li);
-            }
-        }
-    }
-
-    fn start_node(&mut self, li: usize) {
-        let (sends, timers) = self.with_ctx(li, |node, ctx| node.on_start(ctx));
-        self.schedule_outputs(li, sends, timers);
-    }
-
-    fn with_ctx(
-        &mut self,
-        li: usize,
-        f: impl FnOnce(&mut A, &mut Ctx<A::Msg>),
-    ) -> HandlerOut<A::Msg> {
-        let mut sends = Vec::new();
-        let mut timers = Vec::new();
-        let mut ctx = Ctx {
-            now: self.now,
-            self_id: self.node_ids[li],
-            n_nodes: self.n_global,
-            sends: &mut sends,
-            timers: &mut timers,
-        };
-        f(&mut self.nodes[li], &mut ctx);
-        (sends, timers)
-    }
-
-    fn schedule_outputs(
-        &mut self,
-        from_li: usize,
-        sends: Vec<(NodeId, A::Msg)>,
-        timers: Vec<(u64, u64)>,
-    ) {
-        let from = self.node_ids[from_li];
-        for (to, msg) in sends {
-            self.stats.messages_sent += 1;
-            if to >= self.n_global {
-                self.stats.messages_dropped += 1;
-                continue;
-            }
-            if to == from {
-                // Self-sends are reliable and fast (local queue).
-                let at = self.now + 1;
-                let seq = self.next_seq();
-                let inc = self.incarnation[from_li];
-                self.queue.push(Reverse(LocalEvent {
-                    at,
-                    seq,
-                    to,
-                    inc,
-                    kind: LocalEventKind::Deliver { from, msg },
-                }));
-                continue;
-            }
-            let Some(to_li) = self.local(to) else {
-                // Foreign node: hand to the coordinator after the
-                // barrier. Send order is the deterministic per-edge
-                // lamport order.
-                self.outbox.push((self.now, from, to, msg));
-                continue;
-            };
-            if self.cfg.drop_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.drop_rate {
-                self.stats.messages_dropped += 1;
-                continue;
-            }
-            let mut at = self.now
-                + self.cfg.base_latency
-                + if self.cfg.jitter > 0 { self.rng.gen_range(0..=self.cfg.jitter) } else { 0 };
-            if self.cfg.processing > 0 {
-                at = at.max(self.busy_until[to_li]);
-                self.busy_until[to_li] = at + self.cfg.processing;
-            }
-            let seq = self.next_seq();
-            let inc = self.incarnation[to_li];
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to,
-                inc,
-                kind: LocalEventKind::Deliver { from, msg },
-            }));
-        }
-        for (delay, timer) in timers {
-            let at = self.now + delay.max(1);
-            let seq = self.next_seq();
-            let inc = self.incarnation[from_li];
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to: from,
-                inc,
-                kind: LocalEventKind::Timer { timer },
-            }));
-        }
-    }
-
-    fn dispatch(&mut self, ev: LocalEvent<A::Msg>) {
-        let li = self.local(ev.to).expect("local event for local node");
-        if self.crashed[li] {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        if ev.inc != EXTERNAL_INC && ev.inc != self.incarnation[li] {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        match ev.kind {
-            LocalEventKind::Deliver { from, msg } => {
-                self.stats.messages_delivered += 1;
-                let (sends, timers) =
-                    self.with_ctx(li, |node, ctx| node.on_message(from, msg, ctx));
-                self.schedule_outputs(li, sends, timers);
-            }
-            LocalEventKind::Timer { timer } => {
-                self.stats.timers_fired += 1;
-                let (sends, timers) = self.with_ctx(li, |node, ctx| node.on_timer(timer, ctx));
-                self.schedule_outputs(li, sends, timers);
-            }
-        }
-    }
-
-    fn apply_fault(&mut self, fault: NodeFault<A>) {
-        match fault {
-            NodeFault::Crash(n) => {
-                let li = self.local(n).expect("fault for local node");
-                if !self.crashed[li] {
-                    self.crashed[li] = true;
-                    self.incarnation[li] = self.incarnation[li].wrapping_add(1);
-                    self.stats.crashes += 1;
-                }
-            }
-            NodeFault::Recover(n) => {
-                let li = self.local(n).expect("fault for local node");
-                if self.crashed[li] {
-                    self.crashed[li] = false;
-                    self.busy_until[li] = self.now;
-                    self.stats.recoveries += 1;
-                    if self.started {
-                        self.start_node(li);
-                    }
-                }
-            }
-            NodeFault::Restart(n, actor) => {
-                let li = self.local(n).expect("fault for local node");
-                self.nodes[li] = actor;
-                self.crashed[li] = false;
-                self.incarnation[li] = self.incarnation[li].wrapping_add(1);
-                self.busy_until[li] = self.now;
-                self.stats.restarts_with_loss += 1;
-                if self.started {
-                    self.start_node(li);
-                }
-            }
-        }
-    }
-
-    /// Runs the engine through `[now, until)`: enqueues the inbound
-    /// cross-shard arrivals, interleaves scheduled faults with local
-    /// events in time order, and processes every event with `at <
-    /// until`. Returns the epoch outputs.
-    fn run_epoch(
-        &mut self,
-        until: u64,
-        inbound: Vec<CrossArrival<A::Msg>>,
-        faults: Vec<(u64, NodeFault<A>)>,
-    ) -> EpochOut<A::Msg, P> {
-        self.ensure_started();
-        for arr in inbound {
-            // Cross-shard deliveries keep the coordinator's order via
-            // fresh local seqs; they are not pinned to an incarnation.
-            let mut at = arr.at;
-            if let Some(to_li) = self.local(arr.to) {
-                if self.cfg.processing > 0 && !self.crashed[to_li] {
-                    at = at.max(self.busy_until[to_li]);
-                    self.busy_until[to_li] = at + self.cfg.processing;
-                }
-            }
-            let seq = self.next_seq();
-            self.queue.push(Reverse(LocalEvent {
-                at,
-                seq,
-                to: arr.to,
-                inc: EXTERNAL_INC,
-                kind: LocalEventKind::Deliver { from: arr.from, msg: arr.msg },
-            }));
-        }
-        let mut faults: VecDeque<(u64, NodeFault<A>)> = faults.into();
-        loop {
-            let next_fault = faults.front().map(|(t, _)| *t);
-            let next_event = self.queue.peek().map(|Reverse(e)| e.at);
-            // Faults win ties, as in the single-threaded simulator.
-            match (next_fault, next_event) {
-                (Some(tf), te) if tf < until && te.is_none_or(|t| tf <= t) => {
-                    let (tf, fault) = faults.pop_front().expect("peeked");
-                    self.now = self.now.max(tf);
-                    self.apply_fault(fault);
-                }
-                (_, Some(te)) if te < until => {
-                    let Reverse(ev) = self.queue.pop().expect("peeked");
-                    self.now = ev.at;
-                    self.dispatch(ev);
-                }
-                _ => break,
-            }
-        }
-        // Any fault scheduled in this epoch but after the last event
-        // still applies before the barrier.
-        while let Some((tf, fault)) = faults.pop_front() {
-            self.now = self.now.max(tf);
-            self.apply_fault(fault);
-        }
-        self.now = until;
-        let probe = Arc::clone(&self.probe);
-        let probes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(li, node)| (self.node_ids[li], probe(node)))
-            .collect();
-        EpochOut { outbox: std::mem::take(&mut self.outbox), probes, stats: self.stats }
-    }
 }
 
 struct Worker<A: Actor, P> {
-    tx: Sender<Cmd<A>>,
-    rx: Receiver<Reply<A, P>>,
-    join: JoinHandle<()>,
+    tx: Sender<Epoch<A>>,
+    rx: Receiver<EpochOut<A::Msg, P>>,
+    /// Yields the shard's actors once `tx` is dropped.
+    join: JoinHandle<Vec<A>>,
 }
 
-/// Builds a fresh actor for a node restarted with state loss.
-type NodeFactory<A> = Box<dyn FnMut(NodeId) -> A>;
+/// Runs one shard's [`Simulation`] on the calling (worker) thread until
+/// the coordinator closes the epoch channel, then returns its actors.
+fn run_shard<A: Actor + 'static, P>(
+    mut sim: Simulation<A>,
+    probe: &dyn Fn(&A) -> P,
+    epochs: Receiver<Epoch<A>>,
+    replies: Sender<EpochOut<A::Msg, P>>,
+) -> Vec<A> {
+    // Restarted actors are built by the coordinator's factory and
+    // arrive with their faults; the shard's factory hands them out.
+    let fresh: Rc<RefCell<VecDeque<A>>> = Rc::default();
+    let shipped = Rc::clone(&fresh);
+    sim.set_node_factory(move |_| {
+        shipped.borrow_mut().pop_front().expect("restart actor shipped with its fault")
+    });
+    let ids = sim.first..sim.first + sim.n_nodes();
+    while let Ok(Epoch { until, inbound, faults, restarts }) = epochs.recv() {
+        fresh.borrow_mut().extend(restarts);
+        for (at, ev) in faults {
+            sim.schedule_fault(at, ev);
+        }
+        // Start first, so on_start outputs precede this epoch's arrivals
+        // in sequence order and service queues.
+        sim.ensure_started();
+        for (at, from, to, msg) in inbound {
+            sim.arrive(from, to, msg, at);
+        }
+        // Everything at t < until; no cross arrival lands before
+        // `until`, so no other shard can affect this epoch.
+        sim.run_until(until - 1);
+        let out = EpochOut {
+            outbox: sim.take_outbox(),
+            probes: ids.clone().map(|id| (id, probe(sim.node(id)))).collect(),
+            stats: sim.stats(),
+        };
+        if replies.send(out).is_err() {
+            break;
+        }
+    }
+    sim.into_nodes()
+}
 
 /// The shard-per-thread parallel simulator.
 ///
 /// `P` is the *probe* type: a cheap, `Send` summary of one actor's
-/// state (e.g. a completion count) computed by every engine at each
+/// state (e.g. a completion count) computed by every shard at each
 /// epoch barrier. Run-loop predicates observe probes rather than the
 /// actors themselves, which live on their shard's thread; the full
 /// actors come back via [`ParallelSim::into_nodes`].
 pub struct ParallelSim<A: Actor, P> {
     workers: Vec<Worker<A, P>>,
-    /// shard id per node (dense).
+    /// shard id per node (dense, ascending).
     shard_of: Vec<ShardId>,
-    n_shards: usize,
     cfg: ParallelConfig,
     now: u64,
     /// Coordinator event sequencer (cross arrivals + injections).
     seq: u64,
     /// Undelivered cross-shard arrivals per destination shard.
-    pending: Vec<Vec<PendingArrival<A::Msg>>>,
-    /// External injections not yet released: `(at, seq, from, to, msg)`.
-    injections: Vec<(u64, u64, NodeId, NodeId, A::Msg)>,
-    /// Scheduled fault events not yet applied, sorted by time.
-    pending_faults: VecDeque<(u64, ParallelFaultEvent)>,
-    /// Active shard-granular partition at the head of the timeline,
-    /// plus the in-epoch change log used to route by send time.
-    partition_timeline: Vec<(u64, Option<Vec<usize>>)>,
+    pending: Vec<Vec<Pending<A::Msg>>>,
+    /// External injections not yet released.
+    injections: Vec<Pending<A::Msg>>,
+    /// Scheduled fault events not yet forwarded, sorted by time.
+    pending_faults: VecDeque<(u64, FaultEvent)>,
     factory: Option<NodeFactory<A>>,
     /// Per-edge RNGs for cross-shard latency draws.
     edge_rng: HashMap<(ShardId, ShardId), StdRng>,
-    /// Coordinator-level stats (cross-shard partition drops).
-    local_stats: SimStats,
     /// Latest cumulative stats per shard.
     shard_stats: Vec<SimStats>,
     /// Latest probe value per node.
@@ -567,9 +221,10 @@ where
     P: Send + Default + Clone + 'static,
 {
     /// Creates the parallel simulation: `shard_of[i]` assigns node `i`
-    /// to a shard (shard ids must be dense `0..n_shards`), `probe`
-    /// summarizes an actor for run-loop predicates. Spawns one worker
-    /// thread per shard.
+    /// to a shard, `probe` summarizes an actor for run-loop predicates.
+    /// Every shard owns a contiguous range of node ids and the ranges
+    /// ascend from shard 0 (as `Topology::shard_map` lays them out);
+    /// the constructor asserts it. Spawns one worker thread per shard.
     pub fn new(
         nodes: Vec<A>,
         shard_of: Vec<ShardId>,
@@ -584,85 +239,49 @@ where
             cfg.cross_base,
             cfg.epoch
         );
-        let n_shards = shard_of.iter().copied().max().map_or(0, |m| m + 1);
+        assert!(
+            shard_of.first().is_none_or(|&s| s == 0)
+                && shard_of.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1),
+            "shards must own contiguous node-id ranges in ascending shard order"
+        );
+        let n_shards = shard_of.last().map_or(0, |&s| s + 1);
         let n_global = nodes.len();
         let probe: Arc<dyn Fn(&A) -> P + Send + Sync> = Arc::new(probe);
-        let mut per_shard: Vec<Vec<(NodeId, A)>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (id, (node, &s)) in nodes.into_iter().zip(shard_of.iter()).enumerate() {
-            per_shard[s].push((id, node));
+        let mut nodes = nodes.into_iter();
+        let mut first = 0;
+        let mut workers = Vec::with_capacity(n_shards);
+        for shard in 0..n_shards {
+            let n = shard_of[first..].iter().take_while(|&&s| s == shard).count();
+            let members: Vec<A> = nodes.by_ref().take(n).collect();
+            let net = cfg.net.clone();
+            let seed = mix(cfg.seed, mix(0x5aad, shard as u64));
+            let probe = Arc::clone(&probe);
+            let (tx, epochs) = channel();
+            let (replies, rx) = channel();
+            // Spans opened on the worker would otherwise lose their
+            // parent edge to this (spawning) thread's span stack —
+            // carry it across explicitly.
+            let span_parent = prever_obs::current_span();
+            let join = std::thread::spawn(move || {
+                prever_obs::adopt_parent(span_parent);
+                // Built here: a `Simulation` holds non-`Send` hooks.
+                let sim = Simulation::shard(members, first, n_global, net, seed);
+                run_shard(sim, &*probe, epochs, replies)
+            });
+            workers.push(Worker { tx, rx, join });
+            first += n;
         }
-        let workers = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(shard, members)| {
-                assert!(!members.is_empty(), "shard {shard} has no nodes");
-                let node_ids: Vec<NodeId> = members.iter().map(|(id, _)| *id).collect();
-                let index = node_ids.iter().enumerate().map(|(li, &id)| (id, li)).collect();
-                let n = node_ids.len();
-                let mut engine = Engine {
-                    node_ids,
-                    index,
-                    n_global,
-                    nodes: members.into_iter().map(|(_, a)| a).collect(),
-                    crashed: vec![false; n],
-                    incarnation: vec![0; n],
-                    busy_until: vec![0; n],
-                    queue: BinaryHeap::new(),
-                    rng: StdRng::seed_from_u64(mix(cfg.seed, mix(0x5aad, shard as u64))),
-                    now: 0,
-                    seq: 0,
-                    stats: SimStats::default(),
-                    cfg: cfg.net.clone(),
-                    outbox: Vec::new(),
-                    probe: Arc::clone(&probe),
-                    started: false,
-                };
-                let (tx, cmd_rx) = channel::<Cmd<A>>();
-                let (reply_tx, rx) = channel::<Reply<A, P>>();
-                // Spans opened on the worker would otherwise lose their
-                // parent edge to this (spawning) thread's span stack —
-                // carry it across explicitly (prever-obs satellite fix).
-                let span_parent = prever_obs::current_span();
-                let join = std::thread::spawn(move || {
-                    prever_obs::adopt_parent(span_parent);
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Epoch { until, inbound, faults } => {
-                                let out = engine.run_epoch(until, inbound, faults);
-                                if reply_tx.send(Reply::Epoch(out)).is_err() {
-                                    return;
-                                }
-                            }
-                            Cmd::Finish => {
-                                let nodes = engine
-                                    .node_ids
-                                    .iter()
-                                    .copied()
-                                    .zip(std::mem::take(&mut engine.nodes))
-                                    .collect();
-                                let _ = reply_tx.send(Reply::Done(nodes));
-                                return;
-                            }
-                        }
-                    }
-                });
-                Worker { tx, rx, join }
-            })
-            .collect();
         ParallelSim {
             workers,
             shard_of,
-            n_shards,
             cfg,
             now: 0,
             seq: 0,
             pending: (0..n_shards).map(|_| Vec::new()).collect(),
             injections: Vec::new(),
             pending_faults: VecDeque::new(),
-            partition_timeline: vec![(0, None)],
             factory: None,
             edge_rng: HashMap::new(),
-            local_stats: SimStats::default(),
             shard_stats: vec![SimStats::default(); n_shards],
             probes: vec![P::default(); n_global],
         }
@@ -675,13 +294,12 @@ where
 
     /// Number of worker threads (= shards).
     pub fn n_threads(&self) -> usize {
-        self.n_shards
+        self.workers.len()
     }
 
-    /// Aggregate statistics: sum of the shard engines plus the
-    /// coordinator's cross-shard drops.
+    /// Aggregate statistics: the sum over the shard simulations.
     pub fn stats(&self) -> SimStats {
-        let mut total = self.local_stats;
+        let mut total = SimStats::default();
         for s in &self.shard_stats {
             total.messages_sent += s.messages_sent;
             total.messages_delivered += s.messages_delivered;
@@ -702,13 +320,34 @@ where
         &self.probes
     }
 
-    /// Installs the fault plan (replacing any previous one).
-    pub fn set_fault_plan(&mut self, plan: ParallelFaultPlan) {
+    /// Installs the fault plan (replacing any previous one). Partition
+    /// groups are per node. Panics, naming the offender, on link faults,
+    /// [`FaultEvent::Disk`] and [`FaultEvent::ClearLinkFaults`], which
+    /// the parallel runtime does not model.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert!(
+            plan.links.is_empty() && plan.default_link == LinkFault::default(),
+            "ParallelSim does not support link faults"
+        );
+        for (_, ev) in &plan.events {
+            match ev {
+                FaultEvent::Partition(groups) => {
+                    assert_eq!(groups.len(), self.shard_of.len(), "partition groups are per node");
+                }
+                FaultEvent::Disk { .. } | FaultEvent::ClearLinkFaults => {
+                    panic!("ParallelSim does not support {ev:?}")
+                }
+                FaultEvent::Crash(_)
+                | FaultEvent::Recover(_)
+                | FaultEvent::RestartWithLoss(_)
+                | FaultEvent::Heal => {}
+            }
+        }
         self.pending_faults = plan.sorted_events().into();
     }
 
-    /// Registers the factory used for
-    /// [`ParallelFaultEvent::RestartWithLoss`] events.
+    /// Registers the factory used for [`FaultEvent::RestartWithLoss`]
+    /// events. It runs on the coordinator thread.
     pub fn set_node_factory(&mut self, factory: impl FnMut(NodeId) -> A + 'static) {
         self.factory = Some(Box::new(factory));
     }
@@ -722,44 +361,35 @@ where
         self.injections.push((at, self.seq, from, to, msg));
     }
 
-    /// The partition state in effect at send time `at`.
-    fn partition_at(&self, at: u64) -> Option<&Vec<usize>> {
-        self.partition_timeline
-            .iter()
-            .rev()
-            .find(|(t, _)| *t <= at)
-            .and_then(|(_, p)| p.as_ref())
-    }
-
     /// Runs one epoch across all shards.
     fn step_epoch(&mut self) {
         let until = self.now + self.cfg.epoch;
-        // 1. Collect this epoch's faults: partitions change the
-        //    coordinator's routing timeline; node faults are forwarded
-        //    to the owning engine.
-        let mut shard_faults: Vec<Vec<(u64, NodeFault<A>)>> =
-            (0..self.n_shards).map(|_| Vec::new()).collect();
+        let n_shards = self.workers.len();
+        // 1. Route this epoch's faults: node faults to the owning shard
+        //    (a restart ships the factory's fresh actor), partition and
+        //    heal to every shard.
+        let mut faults: Vec<Vec<(u64, FaultEvent)>> = vec![Vec::new(); n_shards];
+        let mut restarts: Vec<Vec<A>> = (0..n_shards).map(|_| Vec::new()).collect();
         while self.pending_faults.front().is_some_and(|(t, _)| *t < until) {
             let (t, ev) = self.pending_faults.pop_front().expect("peeked");
             match ev {
-                ParallelFaultEvent::Partition(groups) => {
-                    assert_eq!(groups.len(), self.n_shards, "partition groups are per shard");
-                    self.partition_timeline.push((t, Some(groups)));
+                FaultEvent::Crash(n) | FaultEvent::Recover(n) => {
+                    faults[self.shard_of[n]].push((t, ev));
                 }
-                ParallelFaultEvent::Heal => self.partition_timeline.push((t, None)),
-                ParallelFaultEvent::Crash(n) => {
-                    shard_faults[self.shard_of[n]].push((t, NodeFault::Crash(n)));
-                }
-                ParallelFaultEvent::Recover(n) => {
-                    shard_faults[self.shard_of[n]].push((t, NodeFault::Recover(n)));
-                }
-                ParallelFaultEvent::RestartWithLoss(n) => {
-                    let mut factory = self.factory.take().expect(
-                        "ParallelFaultEvent::RestartWithLoss requires set_node_factory",
+                FaultEvent::RestartWithLoss(n) => {
+                    let factory = self.factory.as_mut().expect(
+                        "FaultEvent::RestartWithLoss requires ParallelSim::set_node_factory",
                     );
-                    let fresh = factory(n);
-                    self.factory = Some(factory);
-                    shard_faults[self.shard_of[n]].push((t, NodeFault::Restart(n, fresh)));
+                    restarts[self.shard_of[n]].push(factory(n));
+                    faults[self.shard_of[n]].push((t, ev));
+                }
+                FaultEvent::Partition(_) | FaultEvent::Heal => {
+                    for shard_faults in &mut faults {
+                        shard_faults.push((t, ev.clone()));
+                    }
+                }
+                FaultEvent::Disk { .. } | FaultEvent::ClearLinkFaults => {
+                    unreachable!("rejected by set_fault_plan")
                 }
             }
         }
@@ -771,56 +401,40 @@ where
             .into_iter()
             .partition(|(at, ..)| *at < until);
         self.injections = later;
-        for (at, seq, from, to, msg) in due {
-            let shard = self.shard_of[to];
-            self.pending[shard].push((at, seq, CrossArrival { at, from, to, msg }));
+        for arrival in due {
+            self.pending[self.shard_of[arrival.3]].push(arrival);
         }
-        let mut inbound: Vec<Vec<CrossArrival<A::Msg>>> =
-            (0..self.n_shards).map(|_| Vec::new()).collect();
-        for (shard, bucket) in inbound.iter_mut().enumerate() {
-            let (mut ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending[shard])
-                .into_iter()
-                .partition(|(at, ..)| *at < until);
-            self.pending[shard] = later;
-            ready.sort_by_key(|(at, seq, _)| (*at, *seq));
-            *bucket = ready.into_iter().map(|(_, _, a)| a).collect();
-        }
+        let inbound: Vec<Vec<_>> = self
+            .pending
+            .iter_mut()
+            .map(|bucket| {
+                let (mut ready, later): (Vec<_>, Vec<_>) =
+                    std::mem::take(bucket).into_iter().partition(|(at, ..)| *at < until);
+                *bucket = later;
+                ready.sort_by_key(|(at, seq, ..)| (*at, *seq));
+                ready.into_iter().map(|(at, _, from, to, msg)| (at, from, to, msg)).collect()
+            })
+            .collect();
         // 3. Barrier: run every shard's epoch in parallel.
-        for (shard, worker) in self.workers.iter().enumerate() {
-            worker
-                .tx
-                .send(Cmd::Epoch {
-                    until,
-                    inbound: std::mem::take(&mut inbound[shard]),
-                    faults: std::mem::take(&mut shard_faults[shard]),
-                })
-                .expect("worker alive");
+        for ((worker, inbound), (faults, restarts)) in
+            self.workers.iter().zip(inbound).zip(faults.into_iter().zip(restarts))
+        {
+            worker.tx.send(Epoch { until, inbound, faults, restarts }).expect("worker alive");
         }
         // 4. Collect results in fixed shard order and route outboxes
         //    deterministically.
-        let mut outboxes: Vec<Vec<CrossSend<A::Msg>>> =
-            Vec::with_capacity(self.n_shards);
+        let mut outboxes = Vec::with_capacity(n_shards);
         for (shard, worker) in self.workers.iter().enumerate() {
-            match worker.rx.recv().expect("worker alive") {
-                Reply::Epoch(out) => {
-                    self.shard_stats[shard] = out.stats;
-                    for (id, p) in out.probes {
-                        self.probes[id] = p;
-                    }
-                    outboxes.push(out.outbox);
-                }
-                Reply::Done(_) => unreachable!("Finish not requested"),
+            let out = worker.rx.recv().expect("worker alive");
+            self.shard_stats[shard] = out.stats;
+            for (id, p) in out.probes {
+                self.probes[id] = p;
             }
+            outboxes.push(out.outbox);
         }
         for (src_shard, outbox) in outboxes.into_iter().enumerate() {
             for (sent_at, from, to, msg) in outbox {
                 let dst_shard = self.shard_of[to];
-                if let Some(groups) = self.partition_at(sent_at) {
-                    if groups[src_shard] != groups[dst_shard] {
-                        self.local_stats.messages_dropped += 1;
-                        continue;
-                    }
-                }
                 let rng = self
                     .edge_rng
                     .entry((src_shard, dst_shard))
@@ -836,7 +450,7 @@ where
                 // Conservative bound: never before the next epoch.
                 let at = (sent_at + self.cfg.cross_base + jitter).max(until);
                 self.seq += 1;
-                self.pending[dst_shard].push((at, self.seq, CrossArrival { at, from, to, msg }));
+                self.pending[dst_shard].push((at, self.seq, from, to, msg));
             }
         }
         self.now = until;
@@ -872,29 +486,22 @@ where
     /// Shuts the workers down and returns the actors in global node
     /// order (final-state assertions).
     pub fn into_nodes(self) -> Vec<A> {
-        let n = self.shard_of.len();
-        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-        for worker in &self.workers {
-            worker.tx.send(Cmd::Finish).expect("worker alive");
-        }
-        for worker in self.workers {
-            match worker.rx.recv().expect("worker alive") {
-                Reply::Done(nodes) => {
-                    for (id, node) in nodes {
-                        slots[id] = Some(node);
-                    }
-                }
-                Reply::Epoch(_) => unreachable!("no epoch in flight"),
-            }
-            worker.join.join().expect("worker thread panicked");
-        }
-        slots.into_iter().map(|s| s.expect("every node returned")).collect()
+        // Shards own ascending contiguous ranges: concatenating them in
+        // shard order is global order.
+        self.workers
+            .into_iter()
+            .flat_map(|Worker { tx, join, .. }| {
+                drop(tx);
+                join.join().expect("worker thread panicked")
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ctx;
 
     /// Node 0 (shard 0) pings node 1 (shard 1); node 1 echoes.
     #[derive(Clone, Default)]
@@ -966,7 +573,7 @@ mod tests {
     #[test]
     fn shard_partition_blocks_cross_traffic_by_send_time() {
         let mut sim = cross_sim(5);
-        sim.set_fault_plan(ParallelFaultPlan::new().partition_at(0, vec![0, 1]));
+        sim.set_fault_plan(FaultPlan::new().partition_at(0, vec![0, 1]));
         sim.run_until(100_000);
         assert_eq!(sim.probes()[1].0, 0, "partition must drop cross-shard pings");
         assert!(sim.stats().messages_dropped >= 10);
@@ -976,7 +583,7 @@ mod tests {
     fn heal_then_inject_delivers() {
         let mut sim = cross_sim(6);
         sim.set_fault_plan(
-            ParallelFaultPlan::new().partition_at(0, vec![0, 1]).heal_at(50_000),
+            FaultPlan::new().partition_at(0, vec![0, 1]).heal_at(50_000),
         );
         sim.run_until(60_000);
         sim.inject(1, 1, PP::Ping, sim.now() + 10);
@@ -988,7 +595,7 @@ mod tests {
     fn crash_and_recover_follow_single_threaded_semantics() {
         let mut sim = cross_sim(9);
         sim.set_fault_plan(
-            ParallelFaultPlan::new().crash_at(100, 1).recover_at(400_000, 1),
+            FaultPlan::new().crash_at(100, 1).recover_at(400_000, 1),
         );
         // Pings arrive ~1 ms; node 1 is down, so they drop.
         sim.run_until(500_000);
@@ -1002,10 +609,79 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_is_a_plain_simulation() {
+        // A single shard runs the same engine as `Simulation` with the
+        // shard's derived seed: identical stats and delivery times.
+        let net = NetConfig { processing: 30, jitter: 400, ..NetConfig::default() };
+        let mut par = ParallelSim::new(
+            vec![Pinger::default(), Pinger::default()],
+            vec![0, 0],
+            ParallelConfig { net: net.clone(), seed: 5, ..Default::default() },
+            |p: &Pinger| (p.pings, p.pongs, p.last_at),
+        );
+        par.run_until(50_000);
+        let mut single = Simulation::new(
+            vec![Pinger::default(), Pinger::default()],
+            net,
+            mix(5, mix(0x5aad, 0)),
+        );
+        single.run_until(50_000 - 1);
+        assert_eq!(par.stats(), single.stats());
+        let nodes = par.into_nodes();
+        for (id, node) in nodes.iter().enumerate() {
+            let reference = single.node(id);
+            assert_eq!(
+                (node.pings, node.pongs, node.last_at),
+                (reference.pings, reference.pongs, reference.last_at)
+            );
+        }
+    }
+
+    #[test]
+    fn partition_groups_are_per_node_within_a_shard() {
+        let mut sim = ParallelSim::new(
+            vec![Pinger::default(), Pinger::default()],
+            vec![0, 0],
+            ParallelConfig { seed: 4, ..Default::default() },
+            |p: &Pinger| p.pings,
+        );
+        sim.set_fault_plan(FaultPlan::new().partition_at(0, vec![0, 1]));
+        sim.run_until(100_000);
+        assert_eq!(sim.probes()[1], 0, "intra-shard sends across sides must drop");
+        assert_eq!(sim.stats().messages_dropped, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "link faults")]
+    fn link_faults_are_rejected() {
+        let mut sim = cross_sim(1);
+        let lossy = LinkFault { drop: 0.5, ..Default::default() };
+        sim.set_fault_plan(FaultPlan::new().default_link(lossy));
+    }
+
+    #[test]
+    #[should_panic(expected = "ClearLinkFaults")]
+    fn unsupported_events_are_rejected_by_name() {
+        let mut sim = cross_sim(1);
+        sim.set_fault_plan(FaultPlan::new().clear_links_at(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "contiguous")]
+    fn interleaved_shards_are_rejected() {
+        let _ = ParallelSim::new(
+            vec![Pinger::default(), Pinger::default(), Pinger::default()],
+            vec![0, 1, 0],
+            ParallelConfig::default(),
+            |p: &Pinger| p.pings,
+        );
+    }
+
+    #[test]
     fn restart_with_loss_uses_factory() {
         let mut sim = cross_sim(11);
         sim.set_node_factory(|_| Pinger::default());
-        sim.set_fault_plan(ParallelFaultPlan::new().restart_with_loss_at(50_000, 0));
+        sim.set_fault_plan(FaultPlan::new().restart_with_loss_at(50_000, 0));
         sim.run_until(40_000);
         assert_eq!(sim.probes()[0].1, 10, "initial exchange completes");
         // The fresh node 0 re-runs on_start: 10 more pings on the wire.
